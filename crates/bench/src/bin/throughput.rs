@@ -6,15 +6,17 @@
 //! data-parallel `forward_batch` path across thread counts, a
 //! single-thread sweep of the cache-blocked kernel at pinned block
 //! sizes, a single-thread sweep of the pluggable kernel backends
-//! (`Backend::all()`), and the compile-cache statistics the
-//! repeated-compile pattern sweeps use. `host_parallelism` records how
+//! (`Backend::all()`), a single-thread LeNet arm comparing the planned
+//! convolution path against the per-sample one, and the compile-cache
+//! statistics the repeated-compile pattern sweeps use. `host_parallelism` records how
 //! many CPUs the host
 //! actually exposes — thread counts above it cannot speed anything up,
 //! so speedup rows must be read against it.
 //!
 //! The batched path is required to be bit-identical to the sequential
 //! path; this harness re-verifies that on the measured batch before
-//! reporting.
+//! reporting, and hard-fails if the planned LeNet outputs differ from
+//! the per-sample ones in a single bit.
 //!
 //! With `--gate` the run doubles as the CI perf smoke: it exits
 //! non-zero unless bit identity holds and the measured speedups clear
@@ -225,6 +227,56 @@ fn main() {
         backend_rows.push((backend, m, exact, max_abs_dev));
     }
 
+    // Single-thread conv arm: LeNet's two convolution layers dominate
+    // its run time, and they take the planned path's conv staging (one
+    // S1 encode per input element, gathered per wordline), which the
+    // MLP-1 rows above never reach. Planned must equal per-sample to
+    // the bit before either is timed.
+    let conv_samples = (n_samples / 4).max(8);
+    eprintln!("training LeNet on {n_train} synthetic digits ({epochs} epochs)...");
+    let mut lenet = models::lenet(7).expect("model");
+    Sgd::new(TrainConfig::new(epochs).with_learning_rate(0.02))
+        .fit(&mut lenet, &train)
+        .expect("training");
+    let lenet_hw =
+        HardwareNetwork::compile(&lenet, &calib, &CompileOptions::paper()).expect("compile");
+    let conv_indices: Vec<usize> = (0..conv_samples).map(|i| i % train.len()).collect();
+    let (conv_x, _) = train.batch(&conv_indices).expect("batch");
+    let conv_modes = [
+        ("per_sample", RunOptions::per_sample()),
+        ("planned", RunOptions::planned()),
+    ];
+    let conv_reference = lenet_hw
+        .run(&conv_x, &conv_modes[0].1)
+        .expect("per-sample run")
+        .outputs;
+    let conv_planned = single
+        .install(|| lenet_hw.run(&conv_x, &conv_modes[1].1))
+        .expect("planned run")
+        .outputs;
+    let conv_bit_identical = conv_reference
+        .data()
+        .iter()
+        .zip(conv_planned.data())
+        .all(|(a, b)| a.to_bits() == b.to_bits());
+    assert!(
+        conv_bit_identical,
+        "planned LeNet path diverged from the per-sample reference"
+    );
+    let conv_rows: Vec<(&str, Measurement)> = conv_modes
+        .iter()
+        .map(|(mode, ropts)| {
+            eprintln!("measuring LeNet {mode} path ({conv_samples} samples, 1 thread)...");
+            let m = single.install(|| {
+                measure(&lenet_hw, conv_samples, reps, || {
+                    let _ = lenet_hw.run(&conv_x, ropts).expect("conv run");
+                })
+            });
+            (*mode, m)
+        })
+        .collect();
+    let conv_per_sample_sps = conv_rows[0].1.samples_per_sec;
+
     let host_parallelism = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -276,6 +328,22 @@ fn main() {
         ));
     }
     json.push_str("  ],\n");
+    json.push_str("  \"conv\": [\n");
+    for (i, (mode, m)) in conv_rows.iter().enumerate() {
+        let comma = if i + 1 < conv_rows.len() { "," } else { "" };
+        json.push_str(&format!(
+            "    {{\"model\": \"{}\", \"mode\": \"{mode}\", \"samples\": {conv_samples}, \
+             \"threads\": 1, \"elapsed_s\": {}, \"samples_per_sec\": {}, \
+             \"mvms_per_sec\": {}, \"speedup_vs_per_sample\": {}, \
+             \"bit_identical\": {conv_bit_identical}}}{comma}\n",
+            lenet_hw.name(),
+            json_num(m.elapsed_s),
+            json_num(m.samples_per_sec),
+            json_num(m.mvms_per_sec),
+            json_num(m.samples_per_sec / conv_per_sample_sps)
+        ));
+    }
+    json.push_str("  ],\n");
     json.push_str("  \"batched\": [\n");
     for (i, (threads, m)) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
@@ -314,6 +382,13 @@ fn main() {
             backend.name(),
             m.samples_per_sec,
             m.samples_per_sec / scalar_backend_sps
+        );
+    }
+    for (mode, m) in &conv_rows {
+        println!(
+            "lenet {mode:<10} x1: {:>7.1} samples/s  ({:.2}x vs per-sample, bit_identical={conv_bit_identical})",
+            m.samples_per_sec,
+            m.samples_per_sec / conv_per_sample_sps
         );
     }
     for (threads, m) in &rows {

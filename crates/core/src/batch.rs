@@ -27,6 +27,11 @@
 //!   (`exp(±0.0) == 1.0` and `ln(1.0) == +0.0` are exact in IEEE 754,
 //!   so the whole `encode → ramp-sample` chain collapses to `+0.0`),
 //!   so its `ln`/`exp` pair is skipped outright;
+//! * a convolution's input elements are encoded once per sample into a
+//!   held-voltage map and gathered per wordline, instead of once per
+//!   im2col copy (k² copies for a k×k kernel) — `s1_encode` is a pure
+//!   function of the activation, so the gathered voltages are the
+//!   encoded ones bit for bit (DESIGN.md "Convolution staging");
 //! * wordlines held at `V = 0` are skipped inside the weighted
 //!   accumulation (their products are exactly `+0.0`, so skipping them
 //!   cannot change the sum's bits);
@@ -204,6 +209,49 @@ pub struct BatchScratch {
     /// by `HardwareNetwork` between kernel invocations so the per-block
     /// input copy reuses one allocation.
     pub(crate) a_block: Vec<f64>,
+    /// One convolution sample's held-voltage map
+    /// ([`BatchPlan::encode_conv_map`]), borrowed the same way.
+    pub(crate) held_map: Vec<f64>,
+}
+
+/// Where the wordlines of a block come from. Both sources fill the same
+/// staging buffers ([`BatchPlan::stage_wordlines`]), so the kind of
+/// layer changes how wordlines are staged and nothing after that.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Wordlines<'a> {
+    /// `samples × rows` normalized activations, back to back; each
+    /// wordline is S1-encoded as it is staged (dense layers).
+    Rows(&'a [f64]),
+    /// Consecutive output pixels of one convolution sample, from
+    /// `first_pixel` on; each wordline gathers its held voltage from the
+    /// sample's pre-encoded map.
+    Patches {
+        conv: &'a ConvGather,
+        map: &'a [f64],
+        first_pixel: usize,
+    },
+}
+
+/// The wordline wiring of one planned convolution
+/// ([`BatchPlan::conv_gather`]): the input geometry, and for every tile
+/// the offset of each physical wordline's input element in a sample's
+/// zero-padded held-voltage map, relative to the output pixel's
+/// top-left corner. Row permutations from repair and layers split over
+/// several tiles need nothing extra — each wordline's offset comes from
+/// the logical row it is wired to.
+#[derive(Debug, Clone)]
+pub(crate) struct ConvGather {
+    channels: usize,
+    height: usize,
+    width: usize,
+    padding: usize,
+    padded_h: usize,
+    padded_w: usize,
+    /// Output height and width.
+    pub(crate) out_h: usize,
+    pub(crate) out_w: usize,
+    /// Per tile: physical wordline → map offset.
+    offsets: Vec<Vec<usize>>,
 }
 
 /// A sample-independent execution plan for one mapped weight layer.
@@ -380,13 +428,7 @@ impl BatchPlan {
                     scratch.v_in.push(0.0);
                     continue;
                 }
-                let t = match self.encoding {
-                    SpikeEncoding::LinearTime => a * self.t_max,
-                    SpikeEncoding::PassThrough => {
-                        Seconds(-self.tau * (1.0 - a * self.v_ref / self.vs).ln()).0
-                    }
-                };
-                let v = self.vs * (1.0 - (-t / self.tau).exp());
+                let v = self.s1_encode(a);
                 scratch.v_in.push(v);
                 if v != 0.0 {
                     scratch.nonzero.push(p as u32);
@@ -428,6 +470,22 @@ impl BatchPlan {
             *y *= self.scale;
         }
         Ok(acc)
+    }
+
+    /// S1: the held wordline voltage of one normalized activation `a` —
+    /// its spike time in this layer's encoding, sampled on the shared GD
+    /// ramp. The one copy of the encode every staging path calls.
+    /// `s1_encode(0.0)` is exactly `+0.0` (see the module docs), which
+    /// is why callers may skip it for zero activations; for any `a` it
+    /// is never `-0.0`, since `1 − e^(−t/τ)` with `t ≥ ±0` is `≥ +0.0`.
+    fn s1_encode(&self, a: f64) -> f64 {
+        let t = match self.encoding {
+            SpikeEncoding::LinearTime => a * self.t_max,
+            SpikeEncoding::PassThrough => {
+                Seconds(-self.tau * (1.0 - a * self.v_ref / self.vs).ln()).0
+            }
+        };
+        self.vs * (1.0 - (-t / self.tau).exp())
     }
 
     /// The sampled bitline voltage of one column from its accumulated
@@ -525,13 +583,7 @@ impl BatchPlan {
                     stats.zero_activation_skips += 1;
                     continue;
                 }
-                let t = match self.encoding {
-                    SpikeEncoding::LinearTime => a * self.t_max,
-                    SpikeEncoding::PassThrough => {
-                        Seconds(-self.tau * (1.0 - a * self.v_ref / self.vs).ln()).0
-                    }
-                };
-                let v = self.vs * (1.0 - (-t / self.tau).exp());
+                let v = self.s1_encode(a);
                 scratch.v_in.push(v);
                 if v != 0.0 {
                     scratch.nonzero.push(p as u32);
@@ -587,48 +639,226 @@ impl BatchPlan {
         Ok(acc)
     }
 
-    /// Encodes one tile's wordlines for every sample of a block into the
-    /// scratch staging buffers: held voltages at stride `tile.rows`, and
-    /// the per-sample non-zero index lists behind a shared prefix-bounds
-    /// array. Each sample sees the exact encode sequence of
-    /// [`BatchPlan::forward_one`]; only the buffer it lands in differs.
-    /// Returns the number of zero-activation skips taken.
-    fn encode_block(
+    /// Stages one tile's wordlines for every sample of a block into the
+    /// scratch buffers: held voltages at stride `tile.rows`, and the
+    /// per-sample non-zero index lists behind a shared prefix-bounds
+    /// array. Every computation stage — the fused scalar kernel, the
+    /// probed kernel and each backend of [`BatchPlan::run_block_kernel`]
+    /// — consumes exactly these buffers, whichever [`Wordlines`] source
+    /// filled them. Returns the number of zero-activation wordlines.
+    ///
+    /// * [`Wordlines::Rows`] encodes each wordline's activation as it is
+    ///   staged — the exact encode sequence of
+    ///   [`BatchPlan::forward_one`]; only the buffer it lands in differs.
+    /// * [`Wordlines::Patches`] encodes nothing: every wordline gathers
+    ///   its held voltage from the sample's map built by
+    ///   [`BatchPlan::encode_conv_map`], where each input element was
+    ///   encoded once. `held + 0.0` turns the map's `-0.0`
+    ///   zero-activation mark into the `+0.0` the rows source stages
+    ///   and leaves every other entry (all `≥ +0.0`) unchanged, so the
+    ///   staged voltages, non-zero lists and skip count equal what
+    ///   encoding the im2col column of each pixel would give.
+    fn stage_wordlines(
         &self,
-        tile: &TilePlan,
-        activations: &[f64],
+        ti: usize,
+        source: Wordlines<'_>,
         samples: usize,
         scratch: &mut BatchScratch,
     ) -> u64 {
+        let tile = &self.tiles[ti];
         let mut skips = 0u64;
         scratch.v_in_block.clear();
         scratch.nz_idx.clear();
         scratch.nz_bounds.clear();
         scratch.nz_bounds.push(0);
-        for b in 0..samples {
-            let base = b * self.rows + tile.row_start;
-            for (p, &l) in tile.row_source.iter().enumerate() {
-                let a = activations[base + l].clamp(0.0, 1.0);
-                if a == 0.0 {
-                    scratch.v_in_block.push(0.0);
-                    skips += 1;
-                    continue;
-                }
-                let t = match self.encoding {
-                    SpikeEncoding::LinearTime => a * self.t_max,
-                    SpikeEncoding::PassThrough => {
-                        Seconds(-self.tau * (1.0 - a * self.v_ref / self.vs).ln()).0
+        match source {
+            Wordlines::Rows(activations) => {
+                for b in 0..samples {
+                    let base = b * self.rows + tile.row_start;
+                    for (p, &l) in tile.row_source.iter().enumerate() {
+                        let a = activations[base + l].clamp(0.0, 1.0);
+                        if a == 0.0 {
+                            scratch.v_in_block.push(0.0);
+                            skips += 1;
+                            continue;
+                        }
+                        let v = self.s1_encode(a);
+                        scratch.v_in_block.push(v);
+                        if v != 0.0 {
+                            scratch.nz_idx.push(p as u32);
+                        }
                     }
-                };
-                let v = self.vs * (1.0 - (-t / self.tau).exp());
-                scratch.v_in_block.push(v);
-                if v != 0.0 {
-                    scratch.nz_idx.push(p as u32);
+                    scratch.nz_bounds.push(scratch.nz_idx.len());
                 }
             }
-            scratch.nz_bounds.push(scratch.nz_idx.len());
+            Wordlines::Patches {
+                conv,
+                map,
+                first_pixel,
+            } => {
+                let offsets = &conv.offsets[ti];
+                scratch.nz_idx.resize(samples * tile.rows, 0);
+                let mut nz = 0usize;
+                for pix in first_pixel..first_pixel + samples {
+                    let corner = (pix / conv.out_w) * conv.padded_w + pix % conv.out_w;
+                    // Branch-free: every wordline writes its index, and
+                    // the cursor only moves past the non-zero ones.
+                    for (p, &off) in offsets.iter().enumerate() {
+                        let held = map[corner + off];
+                        skips += u64::from(held.is_sign_negative());
+                        let v = held + 0.0;
+                        scratch.v_in_block.push(v);
+                        scratch.nz_idx[nz] = p as u32;
+                        nz += usize::from(v != 0.0);
+                    }
+                    scratch.nz_bounds.push(nz);
+                }
+                scratch.nz_idx.truncate(nz);
+            }
         }
         skips
+    }
+
+    /// The wordline wiring of a convolution over `[channels, height,
+    /// width]` inputs with a square `kernel` and symmetric zero
+    /// `padding` (stride 1) on this plan's layer, whose logical rows are
+    /// the im2col rows `(ch, ki, kj)`, i.e. `ch·k² + ki·k + kj`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ResipeError::DimensionMismatch`] unless
+    /// `channels · kernel² == rows` and the padded input is at least
+    /// `kernel` on each side.
+    pub(crate) fn conv_gather(
+        &self,
+        channels: usize,
+        height: usize,
+        width: usize,
+        kernel: usize,
+        padding: usize,
+    ) -> Result<ConvGather, ResipeError> {
+        if channels * kernel * kernel != self.rows {
+            return Err(ResipeError::DimensionMismatch {
+                expected: self.rows,
+                got: channels * kernel * kernel,
+            });
+        }
+        let (padded_h, padded_w) = (height + 2 * padding, width + 2 * padding);
+        if padded_h.min(padded_w) < kernel {
+            return Err(ResipeError::DimensionMismatch {
+                expected: kernel,
+                got: padded_h.min(padded_w),
+            });
+        }
+        let offsets = self
+            .tiles
+            .iter()
+            .map(|tile| {
+                tile.row_source
+                    .iter()
+                    .map(|&l| {
+                        let r = tile.row_start + l;
+                        let (ch, ki, kj) =
+                            (r / (kernel * kernel), (r / kernel) % kernel, r % kernel);
+                        (ch * padded_h + ki) * padded_w + kj
+                    })
+                    .collect()
+            })
+            .collect();
+        Ok(ConvGather {
+            channels,
+            height,
+            width,
+            padding,
+            padded_h,
+            padded_w,
+            out_h: padded_h + 1 - kernel,
+            out_w: padded_w + 1 - kernel,
+            offsets,
+        })
+    }
+
+    /// S1 for one convolution sample: fills `map` with the zero-padded
+    /// `[channels, height + 2p, width + 2p]` held-voltage map of
+    /// `input` (one sample, `channels · height · width` values), each
+    /// element normalized by `input_scale` and encoded exactly once.
+    /// Zero activations and padding hold `-0.0`, a mark the gather of
+    /// [`BatchPlan::stage_wordlines`] counts as a zero-activation
+    /// wordline and stages as `+0.0`. With a probe, the time is added to
+    /// the layer's S1 encode stage.
+    pub(crate) fn encode_conv_map(
+        &self,
+        conv: &ConvGather,
+        input: &[f32],
+        input_scale: f64,
+        map: &mut Vec<f64>,
+        probe: Option<&LayerProbe>,
+    ) {
+        let t0 = probe.map(|_| Instant::now());
+        let (h, w, pad) = (conv.height, conv.width, conv.padding);
+        map.clear();
+        map.resize(conv.channels * conv.padded_h * conv.padded_w, -0.0);
+        for ch in 0..conv.channels {
+            for i in 0..h {
+                let src = &input[(ch * h + i) * w..(ch * h + i + 1) * w];
+                let at = (ch * conv.padded_h + i + pad) * conv.padded_w + pad;
+                for (held, &x) in map[at..at + w].iter_mut().zip(src) {
+                    let a = (x as f64 / input_scale).clamp(0.0, 1.0);
+                    *held = if a == 0.0 { -0.0 } else { self.s1_encode(a) };
+                }
+            }
+        }
+        if let (Some(probe), Some(t0)) = (probe, t0) {
+            probe.record_s1_encode(t0.elapsed().as_nanos() as u64);
+        }
+    }
+
+    /// Rejects a block whose activation or output buffer does not hold
+    /// exactly `samples` rows of this layer.
+    fn check_block(
+        &self,
+        activations: &[f64],
+        samples: usize,
+        out: &[f64],
+    ) -> Result<(), ResipeError> {
+        if activations.len() != samples * self.rows {
+            return Err(ResipeError::DimensionMismatch {
+                expected: samples * self.rows,
+                got: activations.len(),
+            });
+        }
+        if out.len() != samples * self.cols {
+            return Err(ResipeError::DimensionMismatch {
+                expected: samples * self.cols,
+                got: out.len(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Executes one block of `samples` logical MVMs from any wordline
+    /// source through the selected backend, writing `samples × cols`
+    /// outputs to `out`: the fused scalar kernel when unprobed, the
+    /// probed scalar kernel with a probe, and the staged pipeline
+    /// otherwise. A conv block of pixels from
+    /// [`BatchPlan::encode_conv_map`]'s map returns the bits the same
+    /// kernel returns on the pixels' normalized im2col columns.
+    pub(crate) fn run_block(
+        &self,
+        backend: Backend,
+        source: Wordlines<'_>,
+        samples: usize,
+        out: &mut [f64],
+        scratch: &mut BatchScratch,
+        probe: Option<&LayerProbe>,
+    ) {
+        match (backend, probe) {
+            (Backend::Scalar, None) => self.block_fused(source, samples, out, scratch),
+            (Backend::Scalar, Some(probe)) => {
+                self.block_probed(source, samples, out, scratch, probe)
+            }
+            _ => self.run_block_kernel(backend, source, samples, out, scratch, probe),
+        }
     }
 
     /// Executes `samples` logical MVMs in one pass over the tile data —
@@ -657,21 +887,22 @@ impl BatchPlan {
         out: &mut [f64],
         scratch: &mut BatchScratch,
     ) -> Result<(), ResipeError> {
-        if activations.len() != samples * self.rows {
-            return Err(ResipeError::DimensionMismatch {
-                expected: samples * self.rows,
-                got: activations.len(),
-            });
-        }
-        if out.len() != samples * self.cols {
-            return Err(ResipeError::DimensionMismatch {
-                expected: samples * self.cols,
-                got: out.len(),
-            });
-        }
+        self.check_block(activations, samples, out)?;
+        self.block_fused(Wordlines::Rows(activations), samples, out, scratch);
+        Ok(())
+    }
+
+    /// The fused scalar kernel behind [`BatchPlan::forward_block`].
+    fn block_fused(
+        &self,
+        source: Wordlines<'_>,
+        samples: usize,
+        out: &mut [f64],
+        scratch: &mut BatchScratch,
+    ) {
         out.fill(0.0);
-        for tile in &self.tiles {
-            self.encode_block(tile, activations, samples, scratch);
+        for (ti, tile) in self.tiles.iter().enumerate() {
+            self.stage_wordlines(ti, source, samples, scratch);
             for j in 0..tile.cols {
                 let col = j * tile.rows..(j + 1) * tile.rows;
                 let gp = &tile.g_plus[col.clone()];
@@ -705,7 +936,6 @@ impl BatchPlan {
         for y in out.iter_mut() {
             *y *= self.scale;
         }
-        Ok(())
     }
 
     /// [`BatchPlan::forward_block`] with an optional telemetry probe.
@@ -734,29 +964,26 @@ impl BatchPlan {
         scratch: &mut BatchScratch,
         probe: Option<&LayerProbe>,
     ) -> Result<(), ResipeError> {
-        let Some(probe) = probe else {
-            return self.forward_block(activations, samples, out, scratch);
-        };
-        if activations.len() != samples * self.rows {
-            return Err(ResipeError::DimensionMismatch {
-                expected: samples * self.rows,
-                got: activations.len(),
-            });
-        }
-        if out.len() != samples * self.cols {
-            return Err(ResipeError::DimensionMismatch {
-                expected: samples * self.cols,
-                got: out.len(),
-            });
-        }
+        self.forward_block_probed_with(Backend::Scalar, activations, samples, out, scratch, probe)
+    }
+
+    /// The probed scalar kernel behind [`BatchPlan::forward_block_probed`].
+    fn block_probed(
+        &self,
+        source: Wordlines<'_>,
+        samples: usize,
+        out: &mut [f64],
+        scratch: &mut BatchScratch,
+        probe: &LayerProbe,
+    ) {
         let mut stats = SampleStats {
             mvms: (samples * 2 * self.tiles.len()) as u64,
             ..SampleStats::default()
         };
         out.fill(0.0);
-        for tile in &self.tiles {
+        for (ti, tile) in self.tiles.iter().enumerate() {
             let t0 = Instant::now();
-            stats.zero_activation_skips += self.encode_block(tile, activations, samples, scratch);
+            stats.zero_activation_skips += self.stage_wordlines(ti, source, samples, scratch);
             let t1 = Instant::now();
             scratch.v_cols_block.clear();
             for j in 0..tile.cols {
@@ -807,7 +1034,6 @@ impl BatchPlan {
         stats.s2_decode_nanos += t_scale.elapsed().as_nanos() as u64;
         probe.record_block(stats, samples as u64);
         probe.record_kernel(samples as u64, self.tile_stream_bytes, Backend::Scalar);
-        Ok(())
     }
 
     /// [`BatchPlan::forward_one`] executed by the selected
@@ -854,10 +1080,7 @@ impl BatchPlan {
         out: &mut [f64],
         scratch: &mut BatchScratch,
     ) -> Result<(), ResipeError> {
-        if backend == Backend::Scalar {
-            return self.forward_block(activations, samples, out, scratch);
-        }
-        self.run_block_kernel(backend, activations, samples, out, scratch, None)
+        self.forward_block_probed_with(backend, activations, samples, out, scratch, None)
     }
 
     /// [`BatchPlan::forward_block_probed`] executed by the selected
@@ -880,14 +1103,14 @@ impl BatchPlan {
         scratch: &mut BatchScratch,
         probe: Option<&LayerProbe>,
     ) -> Result<(), ResipeError> {
-        if backend == Backend::Scalar {
-            return self.forward_block_probed(activations, samples, out, scratch, probe);
-        }
-        self.run_block_kernel(backend, activations, samples, out, scratch, probe)
+        self.check_block(activations, samples, out)?;
+        let source = Wordlines::Rows(activations);
+        self.run_block(backend, source, samples, out, scratch, probe);
+        Ok(())
     }
 
     /// The generic staged block pipeline behind the non-scalar
-    /// backends: shared S1 block encode, backend prepare + compute
+    /// backends: shared S1 wordline staging, backend prepare + compute
     /// stages filling the `(V_out⁺, V_out⁻)` staging buffer, then the
     /// shared decode pass. Always decoding (no `d0` fast path) returns
     /// the same bits as the fused scalar kernel — the zero-voltage fast
@@ -896,24 +1119,12 @@ impl BatchPlan {
     fn run_block_kernel(
         &self,
         backend: Backend,
-        activations: &[f64],
+        source: Wordlines<'_>,
         samples: usize,
         out: &mut [f64],
         scratch: &mut BatchScratch,
         probe: Option<&LayerProbe>,
-    ) -> Result<(), ResipeError> {
-        if activations.len() != samples * self.rows {
-            return Err(ResipeError::DimensionMismatch {
-                expected: samples * self.rows,
-                got: activations.len(),
-            });
-        }
-        if out.len() != samples * self.cols {
-            return Err(ResipeError::DimensionMismatch {
-                expected: samples * self.cols,
-                got: out.len(),
-            });
-        }
+    ) {
         let kernel = backend.kernel();
         let mut stats = SampleStats {
             mvms: (samples * 2 * self.tiles.len()) as u64,
@@ -922,8 +1133,7 @@ impl BatchPlan {
         out.fill(0.0);
         for ti in 0..self.tiles.len() {
             let t0 = Instant::now();
-            stats.zero_activation_skips +=
-                self.encode_block(&self.tiles[ti], activations, samples, scratch);
+            stats.zero_activation_skips += self.stage_wordlines(ti, source, samples, scratch);
             kernel.prepare_tile_block(self, ti, samples, scratch);
             let t1 = Instant::now();
             scratch.v_cols_block.clear();
@@ -964,7 +1174,6 @@ impl BatchPlan {
             probe.record_block(stats, samples as u64);
             probe.record_kernel(samples as u64, kernel.stream_bytes(self), backend);
         }
-        Ok(())
     }
 
     /// The scalar computation stage in staged form: the sparse
@@ -1592,5 +1801,136 @@ mod tests {
             snap.counters.kernel_bytes_streamed,
             plan.tile_stream_bytes() + plan.tile_stream_bytes() / 2
         );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// The convolution source stages exactly what the rows source
+        /// stages for the pixels' normalized im2col columns — so every
+        /// backend returns the same bits from either, the fixed-point
+        /// backend stays inside its documented bound of the scalar
+        /// reference, and the zero-activation count is the same — on
+        /// repaired, multi-tile layers under the full non-ideality chain.
+        #[test]
+        fn conv_patches_stage_like_im2col_rows(
+            c in 1usize..5,
+            kernel in 1usize..6,
+            pad_raw in 0usize..5,
+            h_raw in 1usize..7,
+            w_raw in 1usize..7,
+            cols in 1usize..5,
+            tiles in 1usize..4,
+            block_idx in 0usize..3,
+            scale_raw in 1u32..40,
+            seed in 0u64..1000,
+        ) {
+            let padding = pad_raw % kernel;
+            let min_side = kernel.saturating_sub(2 * padding).max(1);
+            let (h, w) = (h_raw.max(min_side), w_raw.max(min_side));
+            let block = [1usize, 3, 64][block_idx];
+            let input_scale = f64::from(scale_raw) / 10.0;
+            let rows = c * kernel * kernel;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let weights: Vec<f64> = (0..rows * cols).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let model = resipe_reram::VariationModel::device_to_device(0.12).unwrap();
+            let mut mapped = TileMapper::paper()
+                .with_spare_cols(2)
+                .try_with_max_rows(rows.div_ceil(tiles))
+                .unwrap()
+                .map(&weights, rows, cols)
+                .unwrap()
+                .with_faults(0.1, 4, seed)
+                .unwrap()
+                .perturbed(&model, seed ^ 9);
+            let e = engine();
+            crate::repair::repair_layer(&e, &mut mapped, 0, &crate::repair::RepairPolicy::full(), seed)
+                .unwrap();
+            let mapped = mapped
+                .with_comparator_offsets(0.01, seed ^ 17)
+                .with_time_quantization(Seconds(1e-9));
+            let plan = BatchPlan::new(&e, &mapped, SpikeEncoding::PassThrough);
+            let x: Vec<f32> = (0..c * h * w)
+                .map(|_| match rng.gen_range(0..10) {
+                    0..=3 => 0.0,
+                    4 => -rng.gen_range(0.0..1.0f32),
+                    _ => rng.gen_range(0.0..4.0f32),
+                })
+                .collect();
+            let conv = plan.conv_gather(c, h, w, kernel, padding).unwrap();
+            let n_pix = conv.out_h * conv.out_w;
+            let tensor = resipe_nn::tensor::Tensor::from_vec(x.clone(), &[1, c, h, w]).unwrap();
+            let im2col = resipe_nn::layers::im2col(&tensor, 0, kernel, padding).unwrap();
+            let mut a = Vec::with_capacity(n_pix * rows);
+            for pix in 0..n_pix {
+                a.extend((0..rows).map(|r| {
+                    (f64::from(im2col.data()[r * n_pix + pix]) / input_scale).clamp(0.0, 1.0)
+                }));
+            }
+            let mut map = Vec::new();
+            plan.encode_conv_map(&conv, &x, input_scale, &mut map, None);
+            let mut scratch = plan.scratch();
+            let bound = plan.backend_error_bound(Backend::FixedI32);
+            let cfg = e.config();
+            for backend in Backend::all() {
+                let t_rows = crate::telemetry::Telemetry::enabled();
+                let t_patches = crate::telemetry::Telemetry::enabled();
+                let p_rows = t_rows.layer_probe(0, cfg.slice().0, cfg.vs().0);
+                let p_patches = t_patches.layer_probe(0, cfg.slice().0, cfg.vs().0);
+                let mut from_rows = vec![0.0; n_pix * cols];
+                let mut from_patches = vec![0.0; n_pix * cols];
+                for start in (0..n_pix).step_by(block) {
+                    let bl = block.min(n_pix - start);
+                    let out = start * cols..(start + bl) * cols;
+                    plan.forward_block_probed_with(
+                        backend,
+                        &a[start * rows..(start + bl) * rows],
+                        bl,
+                        &mut from_rows[out.clone()],
+                        &mut scratch,
+                        p_rows.as_ref(),
+                    )
+                    .unwrap();
+                    let patches = Wordlines::Patches {
+                        conv: &conv,
+                        map: &map,
+                        first_pixel: start,
+                    };
+                    plan.run_block(
+                        backend,
+                        patches,
+                        bl,
+                        &mut from_patches[out],
+                        &mut scratch,
+                        p_patches.as_ref(),
+                    );
+                }
+                exact_eq(&from_rows, &from_patches);
+                let zero_wordlines = a.iter().filter(|&&v| v == 0.0).count() as u64;
+                proptest::prop_assert_eq!(
+                    t_patches.snapshot().counters.zero_activation_skips,
+                    zero_wordlines
+                );
+                proptest::prop_assert_eq!(
+                    t_rows.snapshot().counters.zero_activation_skips,
+                    zero_wordlines
+                );
+                for pix in 0..n_pix {
+                    let exact = plan.forward_one(&a[pix * rows..(pix + 1) * rows], &mut scratch).unwrap();
+                    let got = &from_patches[pix * cols..(pix + 1) * cols];
+                    if backend.is_exact() {
+                        exact_eq(&exact, got);
+                    } else {
+                        for (j, (x, f)) in exact.iter().zip(got).enumerate() {
+                            proptest::prop_assert!(
+                                (x - f).abs() <= bound[j],
+                                "pixel {pix} column {j}: |{x:e} - {f:e}| > {:e}",
+                                bound[j]
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

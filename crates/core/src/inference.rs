@@ -4,8 +4,9 @@
 //! onto the engine:
 //!
 //! * every `Dense` layer's `[in, out]` weight matrix and every `Conv2d`
-//!   layer's `[fan_in, out_ch]` kernel matrix (via the same im2col
-//!   lowering the software path uses) becomes a tiled differential
+//!   layer's `[fan_in, out_ch]` kernel matrix (wordline `ch·k² + ki·k +
+//!   kj` carries input channel `ch` at kernel offset `(ki, kj)`, the row
+//!   order of the software path's im2col) becomes a tiled differential
 //!   crossbar pair ([`crate::mapping::MappedWeights`]);
 //! * a calibration batch run through the *ideal* network fixes each
 //!   weight layer's input scale, so activations can be normalized into
@@ -16,6 +17,18 @@
 //!   one Monte-Carlo instance per compile.
 //!
 //! This is the machinery behind the paper's Fig. 7 accuracy study.
+//!
+//! Two execution modes run a compiled network ([`ExecutionMode`]). The
+//! per-sample mode is the reference: a convolution builds each sample's
+//! im2col matrix and issues one [`MappedWeights::forward`] per output
+//! pixel. The planned mode never builds im2col columns. As in the
+//! hardware, where a spike is sampled once on the GD ramp and the held
+//! voltage drives every wordline it feeds, each input element is
+//! normalized and S1-encoded once into a zero-padded held-voltage map,
+//! and each wordline of each pixel block gathers its voltage from that
+//! map ([`BatchPlan`]'s conv staging). The gathered voltages are the
+//! ones encoding the im2col column would give, so both modes return the
+//! same bits.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
@@ -29,7 +42,7 @@ use resipe_reram::aging::AgingStep;
 use resipe_reram::faults::RetentionDrift;
 use resipe_reram::variation::VariationModel;
 
-use crate::batch::{BatchPlan, BatchScratch};
+use crate::batch::{BatchPlan, BatchScratch, Wordlines};
 use crate::config::ResipeConfig;
 use crate::engine::ResipeEngine;
 use crate::error::ResipeError;
@@ -344,8 +357,10 @@ enum HwLayer {
         bias: Vec<f64>,
         input_scale: f64,
     },
-    /// A convolution on crossbars via im2col (`weights` indexes the
-    /// epoch).
+    /// A stride-1 convolution on crossbars (`weights` indexes the
+    /// epoch): one logical MVM per output pixel over the kernel matrix,
+    /// fed by im2col columns per sample and by a once-encoded
+    /// held-voltage map when planned (see the module docs).
     Conv {
         weights: usize,
         bias: Vec<f64>,
@@ -1087,13 +1102,12 @@ impl HardwareNetwork {
                 self.mvm_count
                     .fetch_add((n * mapped.mvms_per_forward()) as u64, Ordering::Relaxed);
                 let mut out = Tensor::zeros(&[n, cols]);
-                let mut i = 0usize;
+                let mut rows_out = out.data_mut().chunks_exact_mut(cols);
                 for chunk in chunks {
-                    for y in chunk?.chunks_exact(cols) {
-                        for (j, &yj) in y.iter().enumerate() {
-                            out.set(&[i, j], (yj * input_scale + bias[j]) as f32);
+                    for (y, row) in chunk?.chunks_exact(cols).zip(rows_out.by_ref()) {
+                        for ((o, &yj), &bj) in row.iter_mut().zip(y).zip(bias) {
+                            *o = (yj * input_scale + bj) as f32;
                         }
-                        i += 1;
                     }
                 }
                 Ok(out)
@@ -1115,54 +1129,56 @@ impl HardwareNetwork {
                         got: s.len(),
                     });
                 }
-                let (n, h, w) = (s[0], s[2], s[3]);
-                let h_out = h + 2 * padding + 1 - kernel;
-                let w_out = w + 2 * padding + 1 - kernel;
-                let n_pix = h_out * w_out;
+                let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
                 let plan = state.plan(&self.engine);
+                let conv = plan.conv_gather(c, h, w, *kernel, *padding)?;
+                let (h_out, w_out) = (conv.out_h, conv.out_w);
+                let n_pix = h_out * w_out;
                 let probe = self.layer_probe(li);
                 let n_cols = mapped.cols();
-                // Samples already fan out over the pool; within one
-                // sample the output pixels run through the blocked
-                // kernel, so the conv tile data is streamed once per
-                // pixel block instead of once per pixel.
+                // Samples already fan out over the pool. Within one
+                // sample, every input element is S1-encoded once into a
+                // held-voltage map; the output pixels then run through
+                // the blocked kernel in pixel blocks, each wordline
+                // gathering its voltage from the map, so the conv tile
+                // data is streamed once per pixel block.
                 let block = options
                     .block
                     .unwrap_or_else(|| plan.preferred_block())
                     .max(1);
-                let per_sample: Vec<Result<Vec<f64>, ResipeError>> = (0..n)
+                let sample_len = c * h * w;
+                let per_sample: Vec<Vec<f64>> = (0..n)
                     .into_par_iter()
                     .map(|b| {
-                        let cols = im2col(x, b, *kernel, *padding)?;
-                        let fan_in = cols.shape()[0];
                         let mut scratch = self.take_scratch();
-                        let mut a_block = std::mem::take(&mut scratch.a_block);
+                        let mut map = std::mem::take(&mut scratch.held_map);
+                        plan.encode_conv_map(
+                            &conv,
+                            &x.data()[b * sample_len..(b + 1) * sample_len],
+                            *input_scale,
+                            &mut map,
+                            probe.as_ref(),
+                        );
                         let mut pix_out = vec![0.0f64; n_pix * n_cols];
-                        let mut result = Ok(());
                         for start in (0..n_pix).step_by(block) {
                             let bl = block.min(n_pix - start);
-                            a_block.clear();
-                            a_block.reserve(bl * fan_in);
-                            for pix in start..start + bl {
-                                a_block.extend((0..fan_in).map(|r| {
-                                    (cols.get(&[r, pix]) as f64 / input_scale).clamp(0.0, 1.0)
-                                }));
-                            }
-                            if let Err(e) = plan.forward_block_probed_with(
+                            let patches = Wordlines::Patches {
+                                conv: &conv,
+                                map: &map,
+                                first_pixel: start,
+                            };
+                            plan.run_block(
                                 options.backend,
-                                &a_block,
+                                patches,
                                 bl,
                                 &mut pix_out[start * n_cols..(start + bl) * n_cols],
                                 &mut scratch,
                                 probe.as_ref(),
-                            ) {
-                                result = Err(e);
-                                break;
-                            }
+                            );
                         }
-                        scratch.a_block = a_block;
+                        scratch.held_map = map;
                         self.put_scratch(scratch);
-                        result.map(|()| pix_out)
+                        pix_out
                     })
                     .collect();
                 self.mvm_count.fetch_add(
@@ -1170,11 +1186,11 @@ impl HardwareNetwork {
                     Ordering::Relaxed,
                 );
                 let mut out = Tensor::zeros(&[n, *out_channels, h_out, w_out]);
-                for (b, sample) in per_sample.into_iter().enumerate() {
-                    for (pix, y) in sample?.chunks_exact(n_cols).enumerate() {
-                        let (oi, oj) = (pix / w_out, pix % w_out);
-                        for (oc, &yc) in y.iter().enumerate() {
-                            out.set(&[b, oc, oi, oj], (yc * input_scale + bias[oc]) as f32);
+                let planes = out.data_mut().chunks_exact_mut(*out_channels * n_pix);
+                for (sample, dst) in per_sample.iter().zip(planes) {
+                    for (pix, y) in sample.chunks_exact(n_cols).enumerate() {
+                        for (oc, (&yc, &bc)) in y.iter().zip(bias).enumerate() {
+                            dst[oc * n_pix + pix] = (yc * input_scale + bc) as f32;
                         }
                     }
                 }

@@ -478,6 +478,14 @@ impl LayerProbe {
         c[by_backend as usize].fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Adds S1 encode time spent outside a kernel block (a convolution
+    /// sample's held-voltage map, encoded once before its pixel blocks).
+    pub(crate) fn record_s1_encode(&self, nanos: u64) {
+        self.stats
+            .s1_encode_nanos
+            .fetch_add(nanos, Ordering::Relaxed);
+    }
+
     /// Records `n` MVMs against this layer (the per-sample sequential
     /// path, which has no stage-level timing).
     pub(crate) fn record_mvms(&self, n: u64) {

@@ -9,15 +9,24 @@
 //! (process variation, hard faults, the repair ladder, comparator
 //! offsets and time quantization): the outputs must equal the
 //! per-sample reference path to the last bit.
+//!
+//! Convolutions get their own property: the planned conv arm never
+//! builds im2col columns — it encodes each input element once and
+//! gathers every wordline's held voltage from that map — so it is
+//! checked against the per-sample im2col reference across channel
+//! counts, kernel sizes, paddings, tile splits and repaired (row-
+//! permuted) tiles, for both exact backends, with telemetry on and off.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use resipe::inference::{CompileOptions, FaultInjection, HardwareNetwork, RunOptions};
+use resipe::kernel::Backend;
 use resipe::mapping::TileMapper;
+use resipe::telemetry::Telemetry;
 use resipe_analog::units::Seconds;
-use resipe_nn::layers::{Conv2d, Dense};
+use resipe_nn::layers::{im2col, Conv2d, Dense};
 use resipe_nn::network::Network;
 use resipe_nn::tensor::Tensor;
 use resipe_reram::variation::VariationModel;
@@ -66,8 +75,127 @@ fn sparse_input(rng: &mut StdRng, shape: &[usize]) -> Tensor {
     .expect("shape")
 }
 
+/// [`nonideal_options`] with at most `max_rows` wordlines per tile, so a
+/// conv layer's fan-in splits over several tiles, and a 10 % fault rate,
+/// so the repair ladder often runs out of spares and permutes wordlines.
+fn split_options(seed: u64, max_rows: usize) -> CompileOptions {
+    nonideal_options(seed)
+        .with_mapper(
+            TileMapper::paper()
+                .with_spare_cols(2)
+                .try_with_max_rows(max_rows)
+                .expect("nonzero rows"),
+        )
+        .with_faults(FaultInjection::clustered(0.1, 4, seed))
+}
+
+/// Conv inputs with exact zeros, negatives (which normalize to zero)
+/// and positive values.
+fn signed_sparse_input(rng: &mut StdRng, shape: &[usize]) -> Tensor {
+    let len = shape.iter().product();
+    Tensor::from_vec(
+        (0..len)
+            .map(|_| match rng.gen_range(0..10) {
+                0..=3 => 0.0,
+                4 => -rng.gen_range(0.0..1.0f32),
+                _ => rng.gen_range(0.0..1.0f32),
+            })
+            .collect(),
+        shape,
+    )
+    .expect("shape")
+}
+
+/// The wordlines a conv layer's planned path must count as zero
+/// activations: every zero entry of the normalized im2col columns of
+/// `x`, with the first-layer input scale `max|calibration|`.
+fn zero_im2col_entries(x: &Tensor, calib: &Tensor, kernel: usize, padding: usize) -> u64 {
+    let scale = f64::from(calib.max_abs()).max(f64::MIN_POSITIVE);
+    (0..x.shape()[0])
+        .map(|b| {
+            let cols = im2col(x, b, kernel, padding).expect("im2col");
+            cols.data()
+                .iter()
+                .filter(|&&v| (f64::from(v) / scale).clamp(0.0, 1.0) == 0.0)
+                .count() as u64
+        })
+        .sum()
+}
+
+/// Runs `x` through the planned path of a conv network with telemetry
+/// on and off, for both exact backends, and checks every output against
+/// the per-sample reference bit for bit and the zero-activation counter
+/// against the normalized im2col columns.
+fn check_conv_planned(
+    hw: &HardwareNetwork,
+    calib: &Tensor,
+    x: &Tensor,
+    kernel: usize,
+    padding: usize,
+    block: usize,
+) {
+    let reference = hw
+        .run(x, &RunOptions::per_sample())
+        .expect("reference")
+        .outputs;
+    let expected_skips = zero_im2col_entries(x, calib, kernel, padding);
+    for backend in [Backend::Scalar, Backend::VectorF32] {
+        let opts = RunOptions::planned()
+            .with_block_size(block)
+            .with_backend(backend);
+        let plain = hw.run(x, &opts).expect("planned run").outputs;
+        assert_bit_identical(&reference, &plain);
+        let mut traced = hw.clone();
+        traced.set_telemetry(Telemetry::enabled());
+        let probed = traced.run(x, &opts).expect("traced run").outputs;
+        assert_bit_identical(&reference, &probed);
+        assert_eq!(
+            traced.telemetry().snapshot().counters.zero_activation_skips,
+            expected_skips,
+            "{} backend: skips must count zero im2col wordlines",
+            backend.name()
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// For arbitrary convolutions — 1–4 input channels, kernels 1–5,
+    /// padding below the kernel, small images, fan-in split over several
+    /// tiles — under the full non-ideality chain with faults and the
+    /// repair ladder, the planned conv arm equals the per-sample im2col
+    /// reference to the bit on both exact backends, with telemetry on
+    /// or off, and counts one zero-activation skip per zero im2col
+    /// entry.
+    #[test]
+    fn conv_planned_path_is_bit_identical_to_per_sample(
+        c_in in 1usize..5,
+        kernel in 1usize..6,
+        pad_raw in 0usize..5,
+        h_raw in 1usize..8,
+        w_raw in 1usize..8,
+        out_ch in 1usize..5,
+        batch in 1usize..4,
+        tiles in 1usize..4,
+        block_idx in 0usize..3,
+        seed in 0u64..1000,
+    ) {
+        let padding = pad_raw % kernel;
+        // Smallest image the padded kernel still fits.
+        let min_side = kernel.saturating_sub(2 * padding).max(1);
+        let (h, w) = (h_raw.max(min_side), w_raw.max(min_side));
+        let block = [1usize, 3, 64][block_idx];
+        let fan_in = c_in * kernel * kernel;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut net = Network::new("conv-prop");
+        net.push(Conv2d::new(c_in, out_ch, kernel, padding, &mut rng));
+        let calib = signed_sparse_input(&mut rng, &[2, c_in, h, w]);
+        let x = signed_sparse_input(&mut rng, &[batch, c_in, h, w]);
+        let hw = HardwareNetwork::compile(&net, &calib, &split_options(seed, fan_in.div_ceil(tiles)))
+            .expect("compile");
+        check_conv_planned(&hw, &calib, &x, kernel, padding, block);
+    }
 
     /// For arbitrary dense layers under the full non-ideality chain, the
     /// blocked planned path equals the per-sample reference path to the
@@ -157,5 +285,27 @@ fn conv_layer_blocks_bit_identically() {
             .run(&x, &RunOptions::planned().with_block_size(block))
             .expect("blocked");
         assert_bit_identical(&reference.outputs, &blocked.outputs);
+    }
+}
+
+/// A conv layer whose fan-in spans several tiles and whose repair
+/// ladder permuted wordlines: each wordline's gather follows the
+/// permuted row wiring, so the planned path still matches per-sample.
+#[test]
+fn conv_layer_with_permuted_multi_tile_rows_is_bit_identical() {
+    let mut rng = StdRng::seed_from_u64(77);
+    let mut net = Network::new("conv-permuted");
+    net.push(Conv2d::new(3, 4, 3, 1, &mut rng));
+    let calib = signed_sparse_input(&mut rng, &[2, 3, 7, 7]);
+    let x = signed_sparse_input(&mut rng, &[3, 3, 7, 7]);
+    let hw = HardwareNetwork::compile(&net, &calib, &split_options(6, 10)).expect("compile");
+    let report = hw.health_report();
+    assert!(report.tiles.len() > 1, "fan-in 27 must split over tiles");
+    assert!(
+        report.tiles.iter().any(|t| t.permuted),
+        "the repair ladder must permute some tile's wordlines"
+    );
+    for block in [1usize, 3, 64] {
+        check_conv_planned(&hw, &calib, &x, 3, 1, block);
     }
 }

@@ -1,9 +1,9 @@
 //! 2-D convolution via im2col.
 //!
-//! Convolutions are lowered to matrix products (`im2col`), which is also
-//! how the ReSiPE engine maps them onto crossbars: the `[out_ch,
-//! in_ch·k·k]` kernel matrix becomes the conductance array and each im2col
-//! column becomes one input spike vector.
+//! Convolutions are lowered to matrix products (`im2col`). The ReSiPE
+//! engine maps them onto crossbars with the same row order: the
+//! transposed `[in_ch·k·k, out_ch]` kernel matrix becomes the conductance
+//! array and each im2col column one input spike vector.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -187,17 +187,20 @@ impl Conv2d {
         }
         let h_out = self.output_side(h);
         let w_out = self.output_side(w);
+        let n_pix = h_out * w_out;
         let mut out = Tensor::zeros(&[n, self.out_channels, h_out, w_out]);
         let mut cols_cache = Vec::with_capacity(n);
-        for b in 0..n {
+        let planes = out.data_mut().chunks_exact_mut(self.out_channels * n_pix);
+        for (b, dst) in (0..n).zip(planes) {
             let cols = im2col(input, b, self.kernel_size, self.padding)?;
             let prod = self.weights.matmul(&cols)?; // [out_ch, h_out*w_out]
-            for oc in 0..self.out_channels {
-                let bias = self.bias.get(&[oc]);
-                for i in 0..h_out {
-                    for j in 0..w_out {
-                        out.set(&[b, oc, i, j], prod.get(&[oc, i * w_out + j]) + bias);
-                    }
+            for ((dst, src), &bias) in dst
+                .chunks_exact_mut(n_pix)
+                .zip(prod.data().chunks_exact(n_pix))
+                .zip(self.bias.data())
+            {
+                for (o, &p) in dst.iter_mut().zip(src) {
+                    *o = p + bias;
                 }
             }
             cols_cache.push(cols);
@@ -231,28 +234,36 @@ impl Conv2d {
         }
         let k = self.kernel_size;
         let fan_in = c * k * k;
+        let n_pix = h_out * w_out;
         let mut grad_input = Tensor::zeros(&[n, c, h, w]);
-
+        // Indices are flat into row-major `[N, C, H, W]` / matrix data.
+        // Each accumulation (`bias_sum += v` over pixels, `cur + dcols`
+        // over pixels then fan-in rows) keeps this loop order: the
+        // trained weights' bits depend on it.
         for b in 0..n {
             // Flatten this sample's output gradient to [out_ch, h_out*w_out].
-            let mut g = Tensor::zeros(&[self.out_channels, h_out * w_out]);
-            for oc in 0..self.out_channels {
-                let mut bias_sum = self.grad_bias.get(&[oc]);
-                for i in 0..h_out {
-                    for j in 0..w_out {
-                        let v = grad.get(&[b, oc, i, j]);
-                        g.set(&[oc, i * w_out + j], v);
-                        bias_sum += v;
-                    }
+            let grad_b = &grad.data()[b * self.out_channels * n_pix..][..self.out_channels * n_pix];
+            let g = Tensor::from_vec(grad_b.to_vec(), &[self.out_channels, n_pix])?;
+            for (bias_grad, plane) in self
+                .grad_bias
+                .data_mut()
+                .iter_mut()
+                .zip(grad_b.chunks_exact(n_pix))
+            {
+                let mut bias_sum = *bias_grad;
+                for &v in plane {
+                    bias_sum += v;
                 }
-                self.grad_bias.set(&[oc], bias_sum);
+                *bias_grad = bias_sum;
             }
             // dW += g · colsᵀ
             let gw = g.matmul(&cache.cols[b].transpose()?)?;
             self.grad_weights = self.grad_weights.zip(&gw, |a, x| a + x)?;
             // dcols = Wᵀ · g, then scatter back (col2im).
             let dcols = self.weights.transpose()?.matmul(&g)?;
-            for col_idx in 0..h_out * w_out {
+            let dcols = dcols.data();
+            let gi = &mut grad_input.data_mut()[b * c * h * w..(b + 1) * c * h * w];
+            for col_idx in 0..n_pix {
                 let oi = col_idx / w_out;
                 let oj = col_idx % w_out;
                 for row_idx in 0..fan_in {
@@ -269,8 +280,9 @@ impl Conv2d {
                     if ii >= h || jj >= w {
                         continue;
                     }
-                    let cur = grad_input.get(&[b, ch, ii, jj]);
-                    grad_input.set(&[b, ch, ii, jj], cur + dcols.get(&[row_idx, col_idx]));
+                    let at = (ch * h + ii) * w + jj;
+                    let cur = gi[at];
+                    gi[at] = cur + dcols[row_idx * n_pix + col_idx];
                 }
             }
         }
@@ -300,8 +312,12 @@ impl Conv2d {
 /// result is `[C·k·k, H_out·W_out]` where each column is the receptive
 /// field of one output pixel (zero padded).
 ///
-/// Public because the ReSiPE engine uses the same lowering to map
-/// convolutions onto crossbars.
+/// Public because the ReSiPE engine's per-sample reference path lowers
+/// convolutions onto crossbars the same way: the `[C·k·k, out_ch]`
+/// transposed kernel matrix is the conductance array and each column is
+/// one input spike vector. (The engine's planned path reads the same
+/// patches straight from an encoded copy of the input instead of
+/// materializing this matrix.)
 ///
 /// # Errors
 ///
@@ -324,24 +340,32 @@ pub fn im2col(input: &Tensor, batch: usize, k: usize, padding: usize) -> Result<
     }
     let h_out = h + 2 * padding + 1 - k;
     let w_out = w + 2 * padding + 1 - k;
-    let mut cols = Tensor::zeros(&[c * k * k, h_out * w_out]);
+    let n_pix = h_out * w_out;
+    let mut cols = Tensor::zeros(&[c * k * k, n_pix]);
+    let sample = &input.data()[batch * c * h * w..(batch + 1) * c * h * w];
+    let dst = cols.data_mut();
     for ch in 0..c {
+        let plane = &sample[ch * h * w..(ch + 1) * h * w];
         for ki in 0..k {
             for kj in 0..k {
                 let row_idx = ch * k * k + ki * k + kj;
+                let row = &mut dst[row_idx * n_pix..(row_idx + 1) * n_pix];
+                // Output columns whose tap `kj` lands inside the input:
+                // `padding <= oj + kj < w + padding`.
+                let oj_lo = padding.saturating_sub(kj);
+                let oj_hi = (w + padding).saturating_sub(kj).min(w_out);
+                if oj_lo >= oj_hi {
+                    continue;
+                }
                 for oi in 0..h_out {
                     let ii = oi + ki;
                     if ii < padding || ii - padding >= h {
                         continue;
                     }
-                    for oj in 0..w_out {
-                        let jj = oj + kj;
-                        if jj < padding || jj - padding >= w {
-                            continue;
-                        }
-                        let v = input.get(&[batch, ch, ii - padding, jj - padding]);
-                        cols.set(&[row_idx, oi * w_out + oj], v);
-                    }
+                    let src = &plane[(ii - padding) * w..(ii - padding + 1) * w];
+                    let jj_lo = oj_lo + kj - padding;
+                    row[oi * w_out + oj_lo..oi * w_out + oj_hi]
+                        .copy_from_slice(&src[jj_lo..jj_lo + (oj_hi - oj_lo)]);
                 }
             }
         }

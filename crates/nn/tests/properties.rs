@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use resipe_nn::layers::{Dense, Relu};
+use resipe_nn::layers::{im2col, Dense, Relu};
 use resipe_nn::tensor::Tensor;
 use resipe_nn::train::softmax_cross_entropy;
 
@@ -104,6 +104,55 @@ proptest! {
                 (ya.get(&[0, j]) - lin).abs() < 1e-3,
                 "col {j}: {} vs {lin}", ya.get(&[0, j])
             );
+        }
+    }
+
+    /// `im2col` equals a naive per-element reference built with
+    /// `get`/`set` — for several channels, a batch index past 0, and
+    /// padding up to (and past) the kernel size.
+    #[test]
+    fn im2col_matches_naive_reference(
+        n in 1usize..4,
+        c in 1usize..5,
+        h in 1usize..7,
+        w in 1usize..7,
+        k_raw in 1usize..6,
+        padding in 0usize..6,
+        seed in 0u64..1000,
+    ) {
+        // Largest kernel that still fits the padded input.
+        let k = 1 + (k_raw - 1) % (h.min(w) + 2 * padding);
+        let batch = (seed as usize) % n;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let x = Tensor::from_vec(
+            (0..n * c * h * w).map(|_| rand::Rng::gen_range(&mut rng, -1.0..1.0f32)).collect(),
+            &[n, c, h, w],
+        )
+        .expect("shape");
+        let (h_out, w_out) = (h + 2 * padding + 1 - k, w + 2 * padding + 1 - k);
+        let mut naive = Tensor::zeros(&[c * k * k, h_out * w_out]);
+        for ch in 0..c {
+            for ki in 0..k {
+                for kj in 0..k {
+                    for oi in 0..h_out {
+                        for oj in 0..w_out {
+                            let (ii, jj) = (oi + ki, oj + kj);
+                            if ii < padding || jj < padding || ii - padding >= h || jj - padding >= w {
+                                continue;
+                            }
+                            naive.set(
+                                &[ch * k * k + ki * k + kj, oi * w_out + oj],
+                                x.get(&[batch, ch, ii - padding, jj - padding]),
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        let cols = im2col(&x, batch, k, padding).expect("valid");
+        prop_assert_eq!(cols.shape(), naive.shape());
+        for (a, b) in cols.data().iter().zip(naive.data()) {
+            prop_assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 }

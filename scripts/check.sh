@@ -7,7 +7,9 @@
 # mode: it fails unless the batched path is bit-identical AND the
 # measured speedup clears the host-appropriate floor (4-thread >= 2x
 # over 1-thread on hosts with >= 4 CPUs; 1-thread batched >= 2x over
-# sequential on smaller hosts, where thread scaling is unobservable).
+# sequential on smaller hosts, where thread scaling is unobservable),
+# and schema-checks the single-thread LeNet conv arm (planned vs
+# per-sample rows; the bench hard-fails if they differ in a bit).
 #
 # With --backends-smoke, additionally runs the throughput bench's kernel
 # backend sweep (scalar / vector_f32 / fixed_i32) and schema-checks the
@@ -155,6 +157,22 @@ if [[ "$perf_smoke" -eq 1 ]]; then
     perf_out="$(mktemp)"
     cargo run --release -q -p resipe-bench --bin throughput -- --smoke --gate \
         --out "$perf_out" >/dev/null
+    # The LeNet conv arm: planned vs per-sample rows, both present. The
+    # bench itself hard-fails if planned loses bit identity.
+    for key in conv mode speedup_vs_per_sample bit_identical; do
+        if ! grep -q "\"$key\"" "$perf_out"; then
+            echo "check: BENCH_throughput.json schema drift — missing key \"$key\"" >&2
+            rm -f "$perf_out"
+            exit 1
+        fi
+    done
+    for mode in per_sample planned; do
+        if ! grep -q "\"mode\": \"$mode\"" "$perf_out"; then
+            echo "check: conv arm missing row for \"$mode\"" >&2
+            rm -f "$perf_out"
+            exit 1
+        fi
+    done
     rm -f "$perf_out"
 fi
 
